@@ -15,7 +15,6 @@ not present in the most recently received pause filter.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from repro.sim.host import Host, NicScheduler, SenderFlowState
@@ -51,38 +50,11 @@ class BfcNicScheduler(NicScheduler):
 
     # -- pause frames -------------------------------------------------------------
 
-    def on_bloom(self, packet: Packet) -> bool:
-        """Install the pause filter shipped by the ToR switch.
-
-        Returns whether the new filter changes the pause state of any active
-        flow — ``False`` lets the host keep a committed packet train (the
-        scans that built it would decide identically under the new filter),
-        which matters because the ToR re-broadcasts its filter every Bloom
-        interval and most broadcasts repeat the previous pause set.
-        """
-        old_filter = self.pause_filter
-        old_memo = self._paused_memo
+    def on_bloom(self, packet: Packet) -> None:
+        """Install the pause filter shipped by the ToR switch."""
         self.pause_filter = packet.bloom_bits
         self.bloom_frames_received += 1
         self._paused_memo = {}
-        port = self.host._uplink_port
-        if port is None or not port._train:
-            return True  # nothing to preserve; answer conservatively
-        codec = self.codec
-        for fstate in self._flows.values():
-            vfid = fstate.cc_state.get("bfc_vfid")
-            if vfid is None:
-                vfid = fstate.key.vfid(self.config.num_vfids)
-                fstate.cc_state["bfc_vfid"] = vfid
-            if old_filter is None:
-                was_paused = False
-            else:
-                was_paused = old_memo.get(vfid)
-                if was_paused is None:
-                    was_paused = codec.contains(old_filter, vfid)
-            if self._flow_is_paused(fstate) != (was_paused or fstate.paused):
-                return True
-        return False
 
     # -- eligibility ----------------------------------------------------------------
 
@@ -120,35 +92,12 @@ class BfcNicScheduler(NicScheduler):
         return count
 
 
-#: Configured NIC classes by config value, so repeated binding of the same
-#: configuration (e.g. every checkpoint restore in a speculative shard run)
-#: reuses one class instead of minting a new type per call.
-_CONFIGURED_CLASSES: dict = {}
-
-
-def _reduce_configured_nic_class(cls: type) -> tuple:
-    """Snapshot-pickle recipe for configured NIC classes.
-
-    The classes made by :func:`bfc_nic_class` are dynamic (not importable by
-    name), so :mod:`repro.shard.snapshot` pickles them through this hook:
-    reconstructing via the factory round-trips to the cached class for the
-    same config value.
-    """
-    return (bfc_nic_class, (cls.CONFIG,))
-
-
 def bfc_nic_class(config: BfcConfig) -> type:
     """A :class:`BfcNicScheduler` subclass bound to a specific configuration."""
-    key = dataclasses.astuple(config)
-    cached = _CONFIGURED_CLASSES.get(key)
-    if cached is not None:
-        return cached
 
     class _ConfiguredBfcNic(BfcNicScheduler):
         CONFIG = config
 
     _ConfiguredBfcNic.__name__ = "BfcNicScheduler"
     _ConfiguredBfcNic.__qualname__ = "BfcNicScheduler"
-    _ConfiguredBfcNic.__class_reduce__ = _reduce_configured_nic_class
-    _CONFIGURED_CLASSES[key] = _ConfiguredBfcNic
     return _ConfiguredBfcNic

@@ -179,11 +179,11 @@ class ExperimentConfig:
       is simulated.
     * **Execution** — ``shards``/``shard_strategy``: ``shards > 1`` runs
       this one experiment space-parallel across OS processes with records
-      identical to the single-process run; ``shard_sync`` selects how the
-      shards synchronize (``conservative`` windows, ``speculative``
-      time-warp with rollback, or ``adaptive``).  In a campaign, prefer
-      ``Campaign.run(cores=...)`` so sharded trials are scheduled onto the
-      machine instead of oversubscribing it (``docs/campaigns.md``).
+      identical to the single-process run; ``shard_sync`` names the shard
+      synchronization protocol and accepts only ``"conservative"``.  In a
+      campaign, prefer ``Campaign.run(cores=...)`` so sharded trials are
+      scheduled onto the machine instead of oversubscribing it
+      (``docs/campaigns.md``).
     """
 
     name: str
@@ -212,13 +212,10 @@ class ExperimentConfig:
     #: synchronized time windows).  1 is the ordinary single-process run.
     shards: int = 1
     shard_strategy: str = "auto"
-    #: How the shard processes synchronize simulated time:
-    #: ``"conservative"`` — lock-step windows of the smallest cut-link delay
-    #: (never executes an event out of order); ``"speculative"`` — optimistic
-    #: time-warp execution with checkpoint/rollback (identical records,
-    #: fewer synchronization rounds on short-window partitions);
-    #: ``"adaptive"`` — picks per partition based on the window width.
-    #: See :mod:`repro.shard.speculative` and ``docs/determinism.md``.
+    #: How the shard processes synchronize simulated time.  Only
+    #: ``"conservative"`` (lock-step windows of the smallest cut-link delay)
+    #: is accepted; every run rejects any other value.  The field stays so
+    #: saved campaign configs keep loading.  See ``docs/determinism.md``.
     shard_sync: str = "conservative"
 
     def total_duration_ns(self) -> int:
@@ -503,27 +500,28 @@ def _aggregate_switch_counters(topo: Topology, switches=None) -> Dict[str, int]:
     return totals
 
 
-def _rollback_horizon_trains(topo: Topology) -> None:
-    """Unwind NIC packet trains committed past the final run horizon.
-
-    Per-packet operation never builds a packet whose serialization starts
-    after ``until`` (no event fires there), so harvested counters/meters
-    must not include such commitments — results stay byte-identical to a
-    ``nic_train_packets=1`` run.  Shard workers do the same before their
-    harvest (:func:`repro.shard.coordinator._harvest_shard`).
-    """
-    for host in topo.hosts.values():
-        port = host._uplink_port
-        if port is not None and port._train:
-            port.rollback_horizon()
-
-
 def _aggregate_host_counters(topo: Topology, hosts=None) -> Dict[str, int]:
     totals: Dict[str, int] = {}
     for host in topo.hosts.values() if hosts is None else hosts:
         for name, value in host.counters.as_dict().items():
             totals[name] = totals.get(name, 0) + value
     return totals
+
+
+def check_shard_sync(config: ExperimentConfig) -> None:
+    """Reject any ``config.shard_sync`` other than ``"conservative"``.
+
+    Raises :class:`repro.shard.ShardError`.  The shard package is imported
+    only on that path, so single-process runs never load it.
+    """
+    if config.shard_sync != "conservative":
+        from repro.shard.coordinator import ShardError
+
+        raise ShardError(
+            f"unknown shard_sync {config.shard_sync!r}; the only accepted "
+            "value is 'conservative' (the speculative and adaptive modes "
+            "were removed)"
+        )
 
 
 def build_simulation(
@@ -641,6 +639,7 @@ def run_experiment(
     """
     if slot_budget is not None and slot_budget < 1:
         raise ValueError(f"slot_budget must be >= 1, got {slot_budget}")
+    check_shard_sync(config)
     if config.shards > 1:
         from repro.shard.coordinator import run_sharded_experiment
 
@@ -675,9 +674,7 @@ def run_experiment(
             if previous is None:
                 host.on_flow_complete = _on_complete
             else:
-                # Chain behind an installed FlowGraphLauncher hook.  A plain
-                # closure is fine here: open-loop traffic is rejected under
-                # sharding, so this hook is never snapshotted.
+                # Chain behind an installed FlowGraphLauncher hook.
                 def _chained(flow: Flow, now_ns: int, _previous=previous) -> None:
                     _previous(flow, now_ns)
                     _on_complete(flow, now_ns)
@@ -699,7 +696,6 @@ def run_experiment(
     )
 
     sim.run(until=config.total_duration_ns(), max_events=config.max_events)
-    _rollback_horizon_trains(topo)
 
     for flow in trace:
         sink.on_flow_record(recorder.record(flow))

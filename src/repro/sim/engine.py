@@ -245,7 +245,6 @@ class Simulator:
         ancestry: tuple,
         callback: Callable[..., None],
         *args: Any,
-        seq: Optional[int] = None,
     ) -> None:
         """Schedule an event whose scheduling ancestry lies in another shard.
 
@@ -256,15 +255,6 @@ class Simulator:
         and two further upstream scheduling instants).  Among events firing
         at the same time, this entry orders exactly where the single-process
         schedule places that post, down to four ancestry levels.
-
-        ``seq`` overrides the engine's own sequence counter (which is then
-        not consumed).  The speculative runtime crafts sequence numbers in a
-        disjoint high range so an injection's ordering slot is a pure
-        function of its identity — independent of *when* (before or after a
-        rollback) the entry was inserted.  Crafted entries must never collide
-        with live ones: two queue entries sharing all six ordering fields
-        would make the tuple comparison fall through to the callbacks, which
-        do not compare.
         """
         if time_ns < self.now:
             raise SimulationError(
@@ -276,9 +266,8 @@ class Simulator:
                 f"boundary ancestry must be non-increasing and precede the "
                 f"delivery time, got {ancestry} for delivery at {time_ns}"
             )
-        if seq is None:
-            seq = self._seq
-            self._seq = seq + 1
+        seq = self._seq
+        self._seq = seq + 1
         self._insert(
             (int(time_ns), int(origin_ns), int(parent_ns), int(parent2_ns),
              int(parent3_ns), seq, callback, args)

@@ -23,12 +23,7 @@ result harvest account for them), but :meth:`Topology.start_flow` registers
 rather than schedules flows carrying ``depends_on``.  A
 :class:`FlowGraphLauncher` — installed by ``build_simulation`` as each
 host's ``on_flow_complete`` hook — counts down prerequisites and schedules
-each dependent the moment its last prerequisite completes.  The launcher is
-deliberately a *class with bound-method hooks*, never a closure: the
-speculative shard runtime snapshots whole worlds, and
-:mod:`repro.shard.snapshot` copies bound methods through their ``__self__``
-while treating plain functions as atomic (a stateful closure would alias its
-cells across timelines).
+each dependent the moment its last prerequisite completes.
 """
 
 from __future__ import annotations
@@ -176,7 +171,7 @@ class FlowGraphLauncher:
         """Dependents whose prerequisites have not all completed yet."""
         return len(self._remaining)
 
-    # -- the hook (bound method: snapshot-safe) -----------------------------------
+    # -- the hook ------------------------------------------------------------------
 
     def on_flow_complete(self, flow: Flow, now_ns: int) -> None:
         children = self._dependents.get(flow.flow_id)

@@ -20,13 +20,13 @@ class SinkNode(Node):
         self.received.append((self.sim.now, packet))
 
 
-def make_host(sim, config=None, host_config=None):
+def make_host(sim, config=None):
     config = config or BfcConfig()
     host = Host(
         sim,
         "h0",
         host_id=0,
-        config=host_config or HostConfig(mtu=1000, mark_first_packet=True),
+        config=HostConfig(mtu=1000, mark_first_packet=True),
         nic_class=bfc_nic_class(config),
     )
     sink = SinkNode(sim, "sink")

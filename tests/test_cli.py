@@ -306,36 +306,6 @@ class TestTopologyCommand:
         assert payload["partition"]["cut_links"] == 0
         assert payload["partition"]["window_ns"] is None
 
-    def test_info_reports_adaptive_sync_resolution(self):
-        # Pod split (1 us window): adaptive picks time-warp.
-        code, output = run_cli(
-            ["topology", "info", "--shards", "2", "--sync", "adaptive",
-             "--json"]
-        )
-        assert code == 0
-        payload = json.loads(output)
-        assert payload["sync"]["requested"] == "adaptive"
-        assert payload["sync"]["mode"] == "speculative"
-        assert "1000 ns < " in payload["sync"]["reason"]
-        # Cross-DC split (20 us window): adaptive stays conservative.
-        code, output = run_cli(
-            ["topology", "info", "--figure", "fig9", "--shards", "2",
-             "--sync", "adaptive", "--json"]
-        )
-        assert code == 0
-        payload = json.loads(output)
-        assert payload["sync"]["mode"] == "conservative"
-        assert "20000 ns >= " in payload["sync"]["reason"]
-
-    def test_info_text_shows_sync_policy(self):
-        code, output = run_cli(
-            ["topology", "info", "--shards", "2", "--sync", "speculative"]
-        )
-        assert code == 0
-        assert "Sync policy for --sync speculative:" in output
-        assert "max leap" in output
-        assert "snapshot cadence" in output
-
     def test_info_rejects_unknown_sync(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -372,33 +342,12 @@ class TestShardCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["shard", "--strategy", "magic"])
 
-    def test_shard_rejects_unknown_sync(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["shard", "--sync", "psychic"])
-
-    def test_shard_speculative_reports_speculation_stats(self):
-        code, output = run_cli(
-            ["shard", "--scheme", "DCQCN", "--shards", "2", "--json",
-             "--load", "0.3", "--incast", "0", "--sync", "speculative"]
-        )
-        assert code == 0
-        payload = json.loads(output)
-        stats = payload["shard_stats"]
-        assert stats["sync"] == "speculative"
-        assert stats["requested_sync"] == "speculative"
-        speculation = stats["speculation"]
-        assert speculation["snapshots"] > 0
-        assert speculation["snapshot_every"] >= 1
-        assert speculation["rollbacks"] >= 0
-
-    def test_shard_speculative_text_output(self):
-        code, output = run_cli(
-            ["shard", "--scheme", "DCQCN", "--shards", "2",
-             "--load", "0.3", "--incast", "0", "--sync", "speculative"]
-        )
-        assert code == 0
-        assert "sync                   speculative" in output
-        assert "Speculation:" in output
-        assert "snapshot cadence" in output
-        assert "rollbacks" in output
-        assert "max leap used" in output
+    @pytest.mark.parametrize(
+        "sync", ["speculative", "adaptive", "conservative", "psychic"]
+    )
+    def test_shard_has_no_sync_flag(self, capsys, sync):
+        # Conservative epochs are the only shard synchronization protocol.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["shard", "--sync", sync])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --sync" in capsys.readouterr().err

@@ -8,6 +8,9 @@ workload shape must honour regardless of mechanism:
 * every emitted record is schema-valid and internally consistent;
 * every flow the config offered is accounted for in the records;
 * the parallel campaign executor reproduces the serial records exactly;
+* a run split over 2 or 4 conservative shards reproduces the
+  single-process records byte for byte (open-loop traffic, which shards
+  cannot carry, is refused with a :class:`~repro.shard.ShardError`);
 * ``BFC-Est`` at telemetry staleness 0 degenerates to plain ``BFC``
   byte-for-byte (it is the same kernel reading exact state).
 
@@ -18,6 +21,7 @@ configs micro — the value here is breadth, not depth.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from typing import Dict, Tuple
 
@@ -29,6 +33,7 @@ from repro.campaign.executors import ParallelExecutor
 from repro.experiments.runner import ExperimentConfig, TrafficSpec, run_experiment
 from repro.experiments.scenarios import _background_traffic, get_scale
 from repro.experiments.schemes import available_schemes
+from repro.shard import ShardError
 from repro.sim import units
 from repro.workloads.collectives import CollectiveSpec
 from repro.workloads.distributions import GOOGLE
@@ -49,6 +54,10 @@ SMOKE_SEED = 3
 #: the streaming-harvest path; "collective" and "rpc" launch dependency-driven
 #: flow graphs through the FlowGraphLauncher hook.
 WORKLOAD_SHAPES = ("trace", "openloop", "collective", "rpc")
+
+#: The shapes a sharded run accepts: open-loop arrivals are generated on one
+#: clock at run time, which shards cannot split.
+SHARDED_SHAPES = tuple(shape for shape in WORKLOAD_SHAPES if shape != "openloop")
 
 
 def _smoke_scale():
@@ -192,6 +201,45 @@ class TestExecutorEquivalence:
         for trial, (record, result) in zip(trials, parallel):
             serial = canonical_records(run_cell("BFC-Est", trial.label))
             assert canonical_records(result) == serial, trial.label
+
+
+def _without_event_count(result):
+    """Canonical records minus ``events_processed``, which sharding changes.
+
+    Every boundary crossing costs a sharded run one extra engine event and
+    every shard runs its own sampling tick; nothing else may differ.
+    """
+    records = canonical_records(result)
+    records.pop("events_processed")
+    # Round-trip through JSON so float formatting matches exactly.
+    return json.loads(json.dumps(records, sort_keys=True))
+
+
+@pytest.mark.parametrize("shape", SHARDED_SHAPES)
+@pytest.mark.parametrize("scheme", available_schemes())
+class TestShardedMatchesSerial:
+    """Conservative shards must not change what is simulated.
+
+    On the micro fabric, 2 shards put one pod and one spine in each shard;
+    4 shards leave the spines alone in a shard of their own, so every packet
+    that leaves a ToR crosses a shard boundary.
+    """
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_sharded_records_match_serial(self, scheme, shape, shards):
+        serial = _without_event_count(run_cell(scheme, shape))
+        result = run_experiment(replace(smoke_config(scheme, shape), shards=shards))
+        assert result.shard_stats["boundary_packets"] > 0, (scheme, shape)
+        sharded = _without_event_count(result)
+        for key in serial:
+            assert sharded[key] == serial[key], (scheme, shape, shards, key)
+        assert sharded == serial
+
+
+def test_open_loop_traffic_refuses_shards():
+    config = replace(smoke_config("BFC", "openloop"), shards=2)
+    with pytest.raises(ShardError, match="open-loop traffic"):
+        run_experiment(config)
 
 
 class TestSpillSinkEquivalence:

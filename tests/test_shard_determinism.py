@@ -26,8 +26,9 @@ from dataclasses import replace
 import pytest
 
 from repro.campaign import Campaign, ParallelExecutor, SerialExecutor
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import check_shard_sync, run_experiment
 from repro.experiments.scenarios import fig9_configs
+from repro.shard import ShardError, run_sharded_experiment
 from repro.sim import units
 
 from tests.golden_kernel import GOLDEN_SCHEMES, canonical_records, golden_configs
@@ -45,18 +46,9 @@ SHARD_STATS_KEYS = {
     # Scheduling (present when the campaign scheduler reserved slots).
     "slot_budget", "oversubscribed",
     # Coordinator merge (present on every true multi-process run).
-    "sync", "requested_sync", "barriers", "boundary_packets",
+    "barriers", "boundary_packets",
     "events_per_shard", "boundary_ports_per_shard",
-    # Time-warp counters (present when the run actually speculated).
-    "speculation",
 }
-
-SPECULATION_KEYS = {
-    "snapshots", "rollbacks", "events_reexecuted", "stragglers",
-    "retractions", "exports_retracted", "barriers_avoided",
-    "max_leap_used", "max_leap", "snapshot_every", "per_shard",
-}
-
 
 def assert_shard_stats_schema(stats):
     """Fail on any undocumented shard_stats key (schema-drift tripwire)."""
@@ -66,16 +58,6 @@ def assert_shard_stats_schema(stats):
         f"undocumented shard_stats keys {sorted(unknown)}; add them to "
         "SHARD_STATS_KEYS here AND to the schema table in docs/architecture.md"
     )
-    speculation = stats.get("speculation")
-    if speculation is not None:
-        assert set(speculation) == SPECULATION_KEYS, (
-            "speculation counter set drifted from the documented schema: "
-            f"{sorted(set(speculation) ^ SPECULATION_KEYS)}"
-        )
-        for shard_counters in speculation["per_shard"].values():
-            assert set(shard_counters) == {
-                "snapshots", "rollbacks", "events_reexecuted"
-            }
 
 
 def shard_canonical(result):
@@ -129,9 +111,6 @@ class TestShardedEqualsSerial:
         assert stats["num_shards"] == 2
         assert stats["cut_links"] > 0
         assert stats["window_ns"] == config.clos.link_delay_ns
-        assert stats["sync"] == "conservative"
-        assert stats["requested_sync"] == "conservative"
-        assert "speculation" not in stats
         assert stats["barriers"] > 0
         assert stats["boundary_packets"] > 0
         assert sum(int(v) for v in stats["events_per_shard"].values()) == (
@@ -139,67 +118,37 @@ class TestShardedEqualsSerial:
         )
 
 
-class TestSpeculativeEqualsSerial:
-    """Time-warp sync produces the same bytes as conservative and serial.
+class TestShardSyncValidation:
+    """``shard_sync`` is validated on every run, whatever the shard count.
 
-    ``adaptive`` resolves to speculative on the golden pod split (1 us
-    window), so both requested modes exercise the optimistic runtime; the
-    stats record which mode was requested vs what actually ran.
+    Conservative epochs are the only synchronization protocol; the
+    speculative (time-warp) and adaptive modes were removed.
     """
 
-    @pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
-    @pytest.mark.parametrize("shards", [2, 4])
-    @pytest.mark.parametrize("sync", ["speculative", "adaptive"])
-    def test_byte_identical_records(self, serial_records, scheme, shards, sync):
-        config = replace(golden_configs()[scheme], shards=shards,
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_conservative_accepted(self, shards):
+        config = replace(golden_configs()["BFC"], shards=shards,
+                         shard_sync="conservative")
+        check_shard_sync(config)
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "sync", ["speculative", "adaptive", "psychic", "Conservative"]
+    )
+    def test_other_values_rejected(self, shards, sync):
+        config = replace(golden_configs()["BFC"], shards=shards,
                          shard_sync=sync)
-        result = run_experiment(config)
-        sharded = shard_canonical(result)
-        serial = serial_records[scheme]
-        for key in serial:
-            assert sharded[key] == serial[key], (
-                f"{scheme} shards={shards} sync={sync}: {key} diverged "
-                "from the single-process run"
-            )
-        assert sharded == serial
-        stats = result.shard_stats
-        assert_shard_stats_schema(stats)
-        assert stats["sync"] == "speculative"
-        assert stats["requested_sync"] == sync
-        speculation = stats["speculation"]
-        assert speculation["snapshots"] > 0
-        assert speculation["max_leap"] >= 1
+        with pytest.raises(ShardError, match="shard_sync") as excinfo:
+            run_experiment(config)
+        message = str(excinfo.value)
+        assert "'conservative'" in message
+        assert "removed" in message
 
-    def test_speculation_makes_progress_and_saves_barriers(self):
+    def test_sharded_entry_point_rejects_too(self):
         config = replace(golden_configs()["BFC"], shards=2,
                          shard_sync="speculative")
-        speculative = run_experiment(config)
-        conservative = run_experiment(replace(config, shard_sync="conservative"))
-        # The committed simulation is the same; only the sync path differs.
-        assert shard_canonical(speculative) == shard_canonical(conservative)
-        assert (speculative.shard_stats["boundary_packets"]
-                == conservative.shard_stats["boundary_packets"])
-        stats = speculative.shard_stats["speculation"]
-        # On the dense pod cut the runtime genuinely speculates: it leaps
-        # multiple windows, takes checkpoints, and pays real rollbacks.
-        assert stats["max_leap_used"] > 1
-        assert stats["snapshots"] > 0
-        assert stats["rollbacks"] > 0
-        assert stats["events_reexecuted"] > 0
-        assert stats["barriers_avoided"] > 0
-        # ... and the point of it all: fewer synchronization barriers.
-        assert (speculative.shard_stats["barriers"]
-                < conservative.shard_stats["barriers"])
-        assert (speculative.shard_stats["barriers"]
-                + stats["barriers_avoided"]
-                >= conservative.shard_stats["barriers"])
-
-    def test_speculative_run_is_deterministic_run_to_run(self):
-        config = replace(golden_configs()["BFC"], shards=2,
-                         shard_sync="speculative")
-        first = shard_canonical(run_experiment(config))
-        second = shard_canonical(run_experiment(config))
-        assert first == second
+        with pytest.raises(ShardError, match="shard_sync"):
+            run_sharded_experiment(config)
 
 
 class TestSingleShardDegradesToPlainRunner:
@@ -241,49 +190,6 @@ class TestCrossDcSharding:
             replace(fig9_config, shards=4, shard_strategy="pod")
         )
         assert shard_canonical(sharded) == serial
-
-    def test_adaptive_resolves_conservative_on_wide_window(self, fig9_config):
-        # The 20 us inter-DC window is far above the adaptive threshold:
-        # speculating across it would roll back constantly, so the policy
-        # keeps conservative sync — and records both the request and the
-        # resolution.
-        serial = shard_canonical(run_experiment(fig9_config))
-        result = run_experiment(replace(fig9_config, shards=2,
-                                        shard_sync="adaptive"))
-        assert shard_canonical(result) == serial
-        stats = result.shard_stats
-        assert_shard_stats_schema(stats)
-        assert stats["requested_sync"] == "adaptive"
-        assert stats["sync"] == "conservative"
-        assert "speculation" not in stats
-
-    def test_forced_speculative_across_dcs_byte_identical(self, fig9_config):
-        # Explicitly requested speculation runs even on the wide window and
-        # still commits identical bytes.
-        serial = shard_canonical(run_experiment(fig9_config))
-        result = run_experiment(replace(fig9_config, shards=2,
-                                        shard_sync="speculative"))
-        assert shard_canonical(result) == serial
-        stats = result.shard_stats
-        assert stats["sync"] == "speculative"
-        assert stats["speculation"]["snapshots"] > 0
-
-    def test_adaptive_speculates_on_pod_split(self, fig9_config):
-        # Pod-splitting the same cross-DC scenario cuts 1 us intra-DC links,
-        # which is under the adaptive threshold: the policy picks time-warp.
-        serial = shard_canonical(run_experiment(fig9_config))
-        result = run_experiment(replace(fig9_config, shards=4,
-                                        shard_strategy="pod",
-                                        shard_sync="adaptive"))
-        assert shard_canonical(result) == serial
-        stats = result.shard_stats
-        assert_shard_stats_schema(stats)
-        assert stats["requested_sync"] == "adaptive"
-        assert stats["sync"] == "speculative"
-        assert stats["window_ns"] == (
-            fig9_config.cross_dc.dc_params.link_delay_ns
-        )
-
 
 class TestCampaignComposition:
     """Sharded trials ride through Serial/Parallel executors unchanged."""
@@ -338,33 +244,27 @@ class TestFlowGraphSharding:
         )["BFC"]
         return replace(config, duration_ns=units.microseconds(300))
 
-    @pytest.mark.parametrize("sync", ["conservative", "speculative"])
-    def test_collective_two_shards_byte_identical(self, collective_config, sync):
+    def test_collective_two_shards_byte_identical(self, collective_config):
         serial = shard_canonical(run_experiment(collective_config))
-        result = run_experiment(
-            replace(collective_config, shards=2, shard_sync=sync)
-        )
+        result = run_experiment(replace(collective_config, shards=2))
         sharded = shard_canonical(result)
         for key in serial:
             assert sharded[key] == serial[key], (
-                f"collective sync={sync}: {key} diverged from single-process"
+                f"collective: {key} diverged from single-process"
             )
         assert sharded == serial
         assert_shard_stats_schema(result.shard_stats)
-        assert result.shard_stats["sync"] == sync
 
-    @pytest.mark.parametrize("sync", ["conservative", "speculative"])
-    def test_rpc_two_shards_byte_identical(self, rpc_config, sync):
+    def test_rpc_two_shards_byte_identical(self, rpc_config):
         serial = shard_canonical(run_experiment(rpc_config))
-        result = run_experiment(replace(rpc_config, shards=2, shard_sync=sync))
+        result = run_experiment(replace(rpc_config, shards=2))
         sharded = shard_canonical(result)
         for key in serial:
             assert sharded[key] == serial[key], (
-                f"rpc sync={sync}: {key} diverged from single-process"
+                f"rpc: {key} diverged from single-process"
             )
         assert sharded == serial
         assert_shard_stats_schema(result.shard_stats)
-        assert result.shard_stats["sync"] == sync
 
     def test_dynamic_start_times_survive_the_merge(self, collective_config):
         """Dependent flows' stamped start_ns reach the coordinator's records."""

@@ -13,12 +13,17 @@ This class glues the BFC mechanisms together for one egress port:
   downstream Bloom filter, reclaims flow-table entries and physical queues
   when a flow's last packet leaves, and applies the resume rule of §3.5
   (at most ``resumes_per_interval`` flows per queue per Bloom interval).
+
+Pause state is incremental, so a packet pays O(1) for it (§3): the port keeps
+the set of non-empty queues whose head packet the downstream filter pauses,
+touched only when a queue's head changes or a *different* filter arrives, and
+Nactive is the number of non-empty queues minus the size of that set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.sim.packet import Packet
 
@@ -63,13 +68,21 @@ class BfcEgressDiscipline:
         self.thresholds = PauseThresholds(self.config, link_rate_bps, link_delay_ns)
         self.resume_lists: Dict[int, ResumeList] = {}
         self.downstream_filter: Optional[bytes] = None
-        # Memoized per-VFID eligibility against the *current* downstream
-        # filter: the filter changes once per Bloom interval while
-        # eligibility is checked per dequeue and per active-queue count, and
-        # membership is a pure function of (filter, vfid).
-        self._eligible_memo: Dict[int, bool] = {}
+        # The installed filter if it marks any VFID, else None: an all-zero
+        # filter pauses nothing and needs no membership tests.
+        self._pause_bits: Optional[bytes] = None
+        # Non-empty queues (physical or overflow) whose head packet is paused
+        # by the downstream filter.  Touched only when a queue's head changes
+        # (push into an empty queue, pop) or a different filter is installed.
+        self._blocked: Set[int] = set()
+        # Flows waiting in any resume list, so an idle tick returns at once.
+        self._resumes_pending = 0
         self.stats = BfcEgressStats()
         # Hot-path aliases (stable for the lifetime of the discipline).
+        # DataDiscipline.has_backlog is the scheduler's own method, saving a
+        # frame on a query the port makes after every transmission.
+        self.has_backlog = self.scheduler.has_backlog
+        self._nonempty = self.scheduler.nonempty_ids()
         self._flow_table = agent.flow_table
         self._codec = agent.codec
         self._num_vfids = self.config.num_vfids
@@ -94,29 +107,35 @@ class BfcEgressDiscipline:
         entry = self._flow_table.lookup_or_insert(
             vfid, ingress, self.egress_index, key=packet.key
         )
-        self.stats.enqueued_packets += 1
+        stats = self.stats
+        stats.enqueued_packets += 1
+        scheduler = self.scheduler
         if entry is None:
             # Neither the hash-table bucket nor the overflow cache had room:
             # divert to the per-egress overflow queue (§3.8).
-            self.scheduler.push_overflow(packet)
-            self.stats.overflow_packets += 1
+            scheduler.push_overflow(packet)
+            stats.overflow_packets += 1
+            self._note_pushed_head(OVERFLOW_QUEUE, packet)
             return True
+        # Departure reads the entry from here instead of re-hashing the VFID.
+        packet.flow_entry = entry
         entry.packets += 1
         entry.bytes += packet.size
         if self._should_use_high_priority(packet, entry):
-            self.scheduler.push_high_priority(packet)
-            self.stats.high_priority_packets += 1
+            scheduler.push_high_priority(packet)
+            stats.high_priority_packets += 1
             return True
         if entry.queue is None:
             entry.queue = self.pool.assign(vfid)
         queue = entry.queue
-        self.scheduler.push_queue(queue, packet)
-        queue_bytes = self.scheduler.queue_bytes(queue)
-        if queue_bytes > self.stats.max_queue_bytes:
-            self.stats.max_queue_bytes = queue_bytes
+        queue_bytes = scheduler.push_queue(queue, packet)
+        if self._pause_bits is not None:
+            self._note_pushed_head(queue, packet)
+        if queue_bytes > stats.max_queue_bytes:
+            stats.max_queue_bytes = queue_bytes
         occupied = self.pool.occupied_queues()
-        if occupied > self.stats.max_occupied_queues:
-            self.stats.max_occupied_queues = occupied
+        if occupied > stats.max_occupied_queues:
+            stats.max_occupied_queues = occupied
         if self._telemetry is not None:
             now = self._sim.now
             self._telemetry.record(queue, now, queue_bytes)
@@ -140,34 +159,40 @@ class BfcEgressDiscipline:
             return
         telemetry = self._telemetry
         if telemetry is None:
-            active = self.active_queue_count()
+            # threshold_bytes floors Nactive at 1.
+            active = len(self._nonempty) - len(self._blocked)
         else:
             # BFC-Est: the decision sees occupancy as the (stale, sampled)
             # telemetry channel reports it, not as it is right now.
             now = self._sim.now
             queue_bytes = telemetry.read(entry.queue, now)
-            raw = telemetry.read(ACTIVE_COUNT_KEY, now)
-            active = raw if raw > 1 else 1
+            active = telemetry.read(ACTIVE_COUNT_KEY, now)
         threshold = self.thresholds.threshold_bytes(active)
         if queue_bytes > threshold:
             if self.agent.pause_flow(entry.vfid, entry.ingress):
                 self.stats.pauses_sent += 1
             entry.paused_upstream = True
             # A pause supersedes any pending resume for the same flow.
-            if entry.queue is not None:
-                self._resume_list(entry.queue).discard(entry.vfid, entry.ingress)
+            if entry.queue is not None and self._resume_list(entry.queue).discard(
+                entry.vfid, entry.ingress
+            ):
+                self._resumes_pending -= 1
 
     # ------------------------------------------------------------------ dequeue --
 
     def dequeue(self) -> Optional[Packet]:
-        # With no downstream pause filter installed every queue is eligible;
-        # passing None lets the DRR skip the per-queue callback entirely.
-        eligible = self._queue_eligible if self.downstream_filter is not None else None
-        result = self.scheduler.pop(eligible)
+        scheduler = self.scheduler
+        result = scheduler.pop(self._blocked)
         if result is None:
             return None
         packet, source_queue = result
         self.stats.dequeued_packets += 1
+        bits = self._pause_bits
+        if bits is not None and source_queue != HIGH_PRIORITY_QUEUE:
+            # The served queue was not blocked; its new head may be.
+            head = scheduler.head_packet(source_queue)
+            if head is not None and self._codec.contains(bits, head.vfid):
+                self._blocked.add(source_queue)
         if self._telemetry is not None:
             # Record before the resume check reads: a sample taken exactly at
             # this instant reflects the state after this departure.
@@ -180,31 +205,23 @@ class BfcEgressDiscipline:
         self._handle_departure(packet, source_queue)
         return packet
 
-    def _queue_eligible(self, qid: int) -> bool:
-        """A queue may be served unless its head packet is paused downstream."""
-        filt = self.downstream_filter
-        if filt is None:
-            return True
-        head = self.scheduler.head_packet(qid)
-        if head is None:
-            return False
-        vfid = packet_vfid(head, self._num_vfids)
-        memo = self._eligible_memo
-        eligible = memo.get(vfid)
-        if eligible is None:
-            eligible = not self._codec.contains(filt, vfid)
-            memo[vfid] = eligible
-        return eligible
+    def _note_pushed_head(self, qid: int, packet: Packet) -> None:
+        """Block ``qid`` if ``packet`` just became its head and is paused."""
+        bits = self._pause_bits
+        if (
+            bits is not None
+            and self.scheduler.head_packet(qid) is packet
+            and self._codec.contains(bits, packet.vfid)
+        ):
+            self._blocked.add(qid)
 
     def _handle_departure(self, packet: Packet, source_queue: int) -> None:
-        if source_queue == OVERFLOW_QUEUE:
+        entry = packet.flow_entry
+        if entry is None:
             # Overflow-queue packets belong to flows without a table entry.
             return
-        vfid = packet_vfid(packet, self._num_vfids)
-        ingress = packet.cur_ingress
-        entry = self._flow_table.lookup(vfid, ingress, self.egress_index)
-        if entry is None:
-            return
+        # The handle is switch state: it must not leave with the packet.
+        packet.flow_entry = None
         entry.packets -= 1
         entry.bytes -= packet.size
         self._check_resume(entry, source_queue)
@@ -225,15 +242,15 @@ class BfcEgressDiscipline:
         else:
             queue_bytes = self.scheduler.queue_bytes(queue)
         if telemetry is None:
-            active = self.active_queue_count()
+            # threshold_bytes floors Nactive at 1.
+            active = len(self._nonempty) - len(self._blocked)
         else:
-            raw = telemetry.read(ACTIVE_COUNT_KEY, self._sim.now)
-            active = raw if raw > 1 else 1
+            active = telemetry.read(ACTIVE_COUNT_KEY, self._sim.now)
         threshold = self.thresholds.threshold_bytes(active)
         if queue_bytes > threshold:
             return
         if self.config.limit_resume_rate:
-            self._resume_list(queue).add(entry.vfid, entry.ingress)
+            self._queue_resume(queue, entry)
             entry.resume_pending = True
         else:
             # BFC-BufferOpt ablation: resume immediately, without rate limiting.
@@ -246,12 +263,11 @@ class BfcEgressDiscipline:
         if entry.paused_upstream and not entry.resume_pending:
             # The pause state must not leak once the table entry is gone;
             # queue it for the (rate-limited) resume path.
-            queue = entry.queue if entry.queue is not None else 0
-            self._resume_list(queue).add(entry.vfid, entry.ingress)
+            self._queue_resume(entry.queue if entry.queue is not None else 0, entry)
         if entry.queue is not None:
             self.pool.release(entry.queue)
             entry.queue = None
-        self.agent.flow_table.remove(entry)
+        self._flow_table.remove(entry)
 
     # ------------------------------------------------------------------ resumes --
 
@@ -262,6 +278,10 @@ class BfcEgressDiscipline:
             self.resume_lists[queue] = lst
         return lst
 
+    def _queue_resume(self, queue: int, entry: FlowEntry) -> None:
+        if self._resume_list(queue).add(entry.vfid, entry.ingress):
+            self._resumes_pending += 1
+
     def collect_resumes(self) -> List[Tuple[int, int]]:
         """Pop up to ``resumes_per_interval`` flows per queue to unpause now.
 
@@ -269,6 +289,8 @@ class BfcEgressDiscipline:
         returned ``(vfid, ingress)`` pairs are removed from the counting Bloom
         filters, which resumes them at the upstream hop.
         """
+        if not self._resumes_pending:
+            return []
         resumed: List[Tuple[int, int]] = []
         for lst in self.resume_lists.values():
             if not lst:
@@ -278,8 +300,9 @@ class BfcEgressDiscipline:
                 if item is None:
                     break
                 resumed.append(item)
+        self._resumes_pending -= len(resumed)
         for vfid, ingress in resumed:
-            entry = self.agent.flow_table.lookup(vfid, ingress, self.egress_index)
+            entry = self._flow_table.lookup(vfid, ingress, self.egress_index)
             if entry is not None:
                 entry.paused_upstream = False
                 entry.resume_pending = False
@@ -290,15 +313,7 @@ class BfcEgressDiscipline:
 
     def _raw_active_count(self) -> int:
         """Non-empty queues whose head is not paused downstream (no floor)."""
-        nonempty = self.scheduler.nonempty_ids()
-        if self.downstream_filter is None:
-            return len(nonempty)
-        eligible = self._queue_eligible
-        count = 0
-        for qid in nonempty:
-            if eligible(qid):
-                count += 1
-        return count
+        return len(self._nonempty) - len(self._blocked)
 
     def active_queue_count(self) -> int:
         """Nactive: non-empty queues whose head is not paused downstream."""
@@ -306,12 +321,28 @@ class BfcEgressDiscipline:
         return count if count > 1 else 1
 
     def apply_downstream_filter(self, bitmap: Optional[bytes]) -> None:
-        """Install the most recent Bloom filter received from the next hop."""
-        self.downstream_filter = bitmap
-        self._eligible_memo = {}
+        """Install the most recent Bloom filter received from the next hop.
+
+        The next hop re-sends an unchanged filter every Bloom interval; only
+        a different one re-tests the heads of the non-empty queues.
+        """
+        if bitmap != self.downstream_filter:
+            self.downstream_filter = bitmap
+            bits = bitmap if bitmap and any(bitmap) else None
+            self._pause_bits = bits
+            blocked = self._blocked
+            blocked.clear()
+            if bits is not None:
+                head_packet = self.scheduler.head_packet
+                contains = self._codec.contains
+                for qid in self._nonempty:
+                    if contains(bits, head_packet(qid).vfid):
+                        blocked.add(qid)
         if self._telemetry is not None:
-            # Eligibility just changed under every queue: the active count is
-            # a new change point even though no packet moved.
+            # Eligibility may have changed under every queue: the active count
+            # is a new change point even though no packet moved.  Recorded on
+            # unchanged frames too (a no-op unless an overflow-queue push
+            # moved the count without recording it).
             self._telemetry.record(
                 ACTIVE_COUNT_KEY, self._sim.now, self._raw_active_count()
             )
@@ -329,6 +360,3 @@ class BfcEgressDiscipline:
 
     def backlog_packets(self) -> int:
         return self.scheduler.backlog_packets()
-
-    def has_backlog(self) -> bool:
-        return self.scheduler.has_backlog()

@@ -9,8 +9,8 @@ the high-priority queue (§3.7).
 
 :class:`BfcNicScheduler` extends the base NIC scheduler
 (:class:`repro.sim.host.NicScheduler`): flows are served deficit round robin
-at line rate, and eligibility additionally requires that the flow's VFID is
-not present in the most recently received pause filter.
+at line rate, and a flow whose VFID is present in the most recently received
+pause filter has its ``paused`` flag set, which makes it ineligible.
 """
 
 from __future__ import annotations
@@ -27,6 +27,12 @@ from .config import BfcConfig
 class BfcNicScheduler(NicScheduler):
     """Per-flow-queue NIC scheduler that honours BFC pause frames.
 
+    The scheduler owns :attr:`SenderFlowState.paused`: a flow's flag is set
+    from the current pause filter when the flow is added, and re-derived for
+    every flow only when a *different* filter arrives (the ToR re-sends an
+    unchanged filter every Bloom interval).  Dequeue and the wake-up check
+    then read one flag per flow.
+
     The class attribute :attr:`CONFIG` supplies the Bloom-filter geometry and
     VFID space; use :func:`bfc_nic_class` to bind a specific configuration.
     """
@@ -41,55 +47,39 @@ class BfcNicScheduler(NicScheduler):
             num_hashes=self.config.bloom_hash_functions,
         )
         self.pause_filter: Optional[bytes] = None
+        # The installed filter if it marks any VFID, else None: an all-zero
+        # filter pauses nothing and needs no membership tests.
+        self._pause_bits: Optional[bytes] = None
         self.bloom_frames_received = 0
-        # Memoized membership tests against the *current* pause filter: the
-        # filter changes once per Bloom interval while eligibility is checked
-        # on every dequeue, and ``contains`` is a pure function of
-        # (filter, vfid).  Reset whenever a new filter is installed.
-        self._paused_memo: dict = {}
 
-    # -- pause frames -------------------------------------------------------------
+    # -- flows and pause frames ---------------------------------------------------
+
+    def add_flow(self, fstate: SenderFlowState) -> None:
+        super().add_flow(fstate)
+        bits = self._pause_bits
+        # fstate.key.vfid(space), reading the key's digest directly as
+        # repro.core.vfid.packet_vfid does (here and in on_bloom).
+        fstate.paused = bits is not None and self.codec.contains(
+            bits, fstate.key._digest % self.config.num_vfids
+        )
 
     def on_bloom(self, packet: Packet) -> None:
         """Install the pause filter shipped by the ToR switch."""
-        self.pause_filter = packet.bloom_bits
         self.bloom_frames_received += 1
-        self._paused_memo = {}
-
-    # -- eligibility ----------------------------------------------------------------
-
-    def _flow_vfid(self, fstate: SenderFlowState) -> int:
-        vfid = fstate.cc_state.get("bfc_vfid")
-        if vfid is None:
-            vfid = fstate.key.vfid(self.config.num_vfids)
-            fstate.cc_state["bfc_vfid"] = vfid
-        return vfid
-
-    def _flow_is_paused(self, fstate: SenderFlowState) -> bool:
-        if fstate.paused:
-            return True
-        filt = self.pause_filter
-        if filt is None:
-            return False
-        vfid = fstate.cc_state.get("bfc_vfid")
-        if vfid is None:
-            vfid = fstate.key.vfid(self.config.num_vfids)
-            fstate.cc_state["bfc_vfid"] = vfid
-        memo = self._paused_memo
-        paused = memo.get(vfid)
-        if paused is None:
-            paused = self.codec.contains(filt, vfid)
-            memo[vfid] = paused
-        return paused
+        bitmap = packet.bloom_bits
+        if bitmap == self.pause_filter:
+            return
+        self.pause_filter = bitmap
+        bits = bitmap if bitmap and any(bitmap) else None
+        self._pause_bits = bits
+        contains = self.codec.contains
+        space = self.config.num_vfids
+        for fstate in self._flows.values():
+            fstate.paused = bits is not None and contains(bits, fstate.key._digest % space)
 
     def paused_flow_count(self) -> int:
         """Flows currently blocked by the pause filter (for tests/analysis)."""
-        count = 0
-        for flow_id in list(self._flows):
-            fstate = self._flows[flow_id]
-            if self._flow_is_paused(fstate):
-                count += 1
-        return count
+        return sum(1 for fstate in self._flows.values() if fstate.paused)
 
 
 def bfc_nic_class(config: BfcConfig) -> type:

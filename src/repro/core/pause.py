@@ -92,12 +92,17 @@ class ResumeList:
         self._members.discard(key)
         return key
 
-    def discard(self, vfid: int, ingress: int) -> None:
-        """Drop a pending resume (e.g. the flow was paused again)."""
+    def discard(self, vfid: int, ingress: int) -> bool:
+        """Drop a pending resume (e.g. the flow was paused again).
+
+        Returns True if the flow was queued.
+        """
         key = (vfid, ingress)
-        if key in self._members:
-            self._members.discard(key)
-            self._pending.remove(key)
+        if key not in self._members:
+            return False
+        self._members.discard(key)
+        self._pending.remove(key)
+        return True
 
     def contains(self, vfid: int, ingress: int) -> bool:
         return (vfid, ingress) in self._members

@@ -10,16 +10,16 @@ Service order at a BFC egress port is:
    scheduled like a normal physical queue.
 
 The scheduler only stores packets and picks the next one; pause/resume policy
-lives in :mod:`repro.core.discipline`.  The set of non-empty queues is
-maintained incrementally on push/pop so the per-packet pause-threshold
-computation (which needs the active-queue count) never scans the whole queue
-array.
+lives in :mod:`repro.core.discipline`, which hands :meth:`BfcScheduler.pop` the
+set of queues whose head is paused downstream.  The set of non-empty queues is
+maintained incrementally on push/pop, so the active-queue count of the pause
+threshold is a difference of two set sizes rather than a scan.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Set, Tuple
+from typing import Container, Deque, List, Optional, Set, Tuple
 
 from repro.sim.disciplines import DeficitRoundRobin
 from repro.sim.packet import Packet
@@ -59,13 +59,16 @@ class BfcScheduler:
         self._total_bytes += packet.size
         self._total_packets += 1
 
-    def push_queue(self, queue: int, packet: Packet) -> None:
+    def push_queue(self, queue: int, packet: Packet) -> int:
+        """Append ``packet`` to physical queue ``queue``; returns its new byte count."""
         self._queues[queue].append(packet)
-        self._queue_bytes[queue] += packet.size
+        queue_bytes = self._queue_bytes[queue] + packet.size
+        self._queue_bytes[queue] = queue_bytes
         self._nonempty.add(queue)
         self._drr.activate(queue)
         self._total_bytes += packet.size
         self._total_packets += 1
+        return queue_bytes
 
     def push_overflow(self, packet: Packet) -> None:
         self._overflow.append(packet)
@@ -77,12 +80,12 @@ class BfcScheduler:
 
     # -- dequeue ------------------------------------------------------------------
 
-    def pop(self, queue_eligible: Optional[Callable[[int], bool]]) -> Optional[Tuple[Packet, int]]:
+    def pop(self, blocked: Container[int]) -> Optional[Tuple[Packet, int]]:
         """Pick the next packet to send.
 
-        ``queue_eligible(queue_id)`` decides whether a (physical or overflow)
-        queue may be served right now — the discipline uses it to implement
-        Bloom-filter pauses (``None`` means every queue is eligible).
+        ``blocked`` holds the non-empty (physical or overflow) queues that
+        may not be served right now — the discipline keeps it as the set of
+        queues whose head packet is paused by the downstream Bloom filter.
         Returns ``(packet, source_queue)`` or ``None``.
         """
         if self._high_priority:
@@ -95,12 +98,20 @@ class BfcScheduler:
         # merged: pop runs once per transmitted packet, and the callback
         # hops of the generic DRR are the dominant cost at that rate.  The
         # selection arithmetic must stay exactly equivalent to
-        # ``self._drr.select(self._head_size, eligible=queue_eligible)``
+        # ``self._drr.select(self._head_size, eligible=lambda q: q not in blocked)``
         # (the DRR state is shared and must evolve identically).
         drr = self._drr
         active = drr._active
         if not active:
             drr._current = None
+            return None
+        if len(blocked) == len(active):
+            # Every backlogged queue is blocked (the active list holds exactly
+            # the non-empty queues, and ``blocked`` only non-empty ones).  The
+            # scan below would visit 2n+1 queues, serve none and keep every
+            # deficit: its only effects are these two.
+            drr._current = None
+            drr._cursor = (drr._cursor % len(active) + 1) % len(active)
             return None
         deficits = drr._deficits
         queues = self._queues
@@ -119,9 +130,7 @@ class BfcScheduler:
                 arriving = True
             queue = self._overflow if qid == OVERFLOW_QUEUE else queues[qid]
             size = queue[0].size if queue else None
-            servable = size is not None and (
-                queue_eligible is None or queue_eligible(qid)
-            )
+            servable = size is not None and qid not in blocked
             if arriving:
                 arriving = False
                 if not servable:

@@ -57,6 +57,7 @@ class BfcAgent:
 
     def register_discipline(self, discipline: BfcEgressDiscipline) -> None:
         self.disciplines.append(discipline)
+        self._tick_interval_ns = None  # the new port may have a shorter tau
 
     def attach(self, interfaces: List[Interface]) -> None:
         """Give the agent access to the switch's interfaces for sending frames."""
@@ -70,11 +71,18 @@ class BfcAgent:
         self.sim.schedule(self._tick_interval(), self._tick)
 
     def _tick_interval(self) -> int:
-        # Interfaces (and hence disciplines) are wired after construction, so
-        # the interval is recomputed on every tick rather than cached.
-        if self.disciplines:
-            return min(d.thresholds.pause_interval_ns for d in self.disciplines)
-        return self.config.derive_pause_interval_ns(self.config.hop_rtt_ns or 2_000)
+        # Interfaces (and hence disciplines) are wired after construction;
+        # register_discipline clears the cached value so late wiring counts.
+        interval = self._tick_interval_ns
+        if interval is None:
+            if self.disciplines:
+                interval = min(d.thresholds.pause_interval_ns for d in self.disciplines)
+            else:
+                interval = self.config.derive_pause_interval_ns(
+                    self.config.hop_rtt_ns or 2_000
+                )
+            self._tick_interval_ns = interval
+        return interval
 
     # -- pause / resume API (called by the egress disciplines) -------------------------
 

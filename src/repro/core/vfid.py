@@ -139,16 +139,27 @@ class FlowTable:
     # -- removal -------------------------------------------------------------------
 
     def remove(self, entry: FlowEntry) -> None:
-        """Reclaim an entry (the flow's last packet left the switch)."""
+        """Reclaim an entry (the flow's last packet left the switch).
+
+        Raises ``ValueError`` if ``entry`` is not in the table, so a double
+        reclaim cannot silently skew the occupancy count.
+        """
         if entry.in_overflow_cache:
-            self._overflow_cache.pop(entry.identity(), None)
+            identity = entry.identity()
+            if self._overflow_cache.get(identity) is not entry:
+                raise ValueError(f"flow entry {identity} is not in the overflow cache")
+            del self._overflow_cache[identity]
         else:
-            bucket = self._buckets.get(entry.vfid)
-            if bucket and entry in bucket:
-                bucket.remove(entry)
-                if not bucket:
-                    del self._buckets[entry.vfid]
-        self._active_entries = max(0, self._active_entries - 1)
+            bucket = self._buckets.get(entry.vfid, ())
+            for index, candidate in enumerate(bucket):
+                if candidate is entry:
+                    break
+            else:
+                raise ValueError(f"flow entry {entry.identity()} is not in the table")
+            del bucket[index]
+            if not bucket:
+                del self._buckets[entry.vfid]
+        self._active_entries -= 1
 
     # -- introspection ------------------------------------------------------------------
 

@@ -284,9 +284,6 @@ class NicScheduler:
         # against; letting _eligible_id be a plain bound method keeps the
         # per-dequeue path free of closure allocations.
         self._select_now = 0
-        # True when _flow_is_paused is not overridden, so the dequeue scan
-        # can read fstate.paused directly instead of dispatching the hook.
-        self._pause_simple = type(self)._flow_is_paused is NicScheduler._flow_is_paused
 
     # -- flow management ------------------------------------------------------
 
@@ -312,17 +309,15 @@ class NicScheduler:
     # readable reference implementation, and
     # tests/test_host.py::TestInlinedDequeueEquivalence pins the two paths
     # to identical behaviour — a change to either side must keep them in
-    # lockstep (the shared DRR state must evolve identically).
-
-    def _flow_is_paused(self, fstate: SenderFlowState) -> bool:
-        """Hook for BFC NICs (Bloom-filter pauses).  Default: never paused."""
-        return fstate.paused
+    # lockstep (the shared DRR state must evolve identically).  Both read
+    # the pause state from ``fstate.paused`` alone: a base NIC never sets
+    # it, and the BFC NIC keeps it in step with its pause filter.
 
     def _eligible(self, fstate: SenderFlowState, now_ns: int) -> bool:
         retransmit = fstate.retransmit_queue
         if not retransmit and fstate.next_seq >= fstate.num_packets:
             return False  # nothing left to send
-        if self._flow_is_paused(fstate):
+        if fstate.paused:
             return False
         if fstate.next_allowed_ns > now_ns:
             return False
@@ -336,7 +331,7 @@ class NicScheduler:
         return True
 
     def _blocked_only_by_pacing(self, fstate: SenderFlowState, now_ns: int) -> bool:
-        if not fstate.has_packets_to_send() or self._flow_is_paused(fstate):
+        if not fstate.has_packets_to_send() or fstate.paused:
             return False
         if not fstate.retransmit_queue:
             window = self.host.effective_window(fstate)
@@ -371,7 +366,6 @@ class NicScheduler:
         flows = self._flows
         deficits = drr._deficits
         config_mtu = host.config.mtu
-        pause_simple = self._pause_simple
         no_window = host._no_window
         visited = 0
         limit = 2 * len(active) + 1
@@ -407,10 +401,7 @@ class NicScheduler:
                     else:
                         last = fstate.flow.size - mtu * (num_packets - 1)
                         size = (last if last > 0 else mtu) + DATA_HEADER_SIZE
-                    paused = (
-                        fstate.paused if pause_simple else self._flow_is_paused(fstate)
-                    )
-                    if not paused:
+                    if not fstate.paused:
                         if retransmit or no_window:
                             # Retransmissions do not grow the in-flight window.
                             if fstate.next_allowed_ns <= now:
@@ -494,12 +485,11 @@ class NicScheduler:
         the timer read now equals what the horizon-time dequeue would have
         read.
         """
-        pause_simple = self._pause_simple
         earliest: Optional[int] = None
         for f in self._flows.values():
             if not f.retransmit_queue and f.next_seq >= f.num_packets:
                 continue
-            if f.paused if pause_simple else self._flow_is_paused(f):
+            if f.paused:
                 continue
             na = f.next_allowed_ns
             if na <= horizon_ns:

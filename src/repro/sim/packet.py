@@ -184,6 +184,7 @@ class Packet:
         "cur_ingress",
         "vfid",
         "vfid_space",
+        "flow_entry",
     )
 
     def __init__(
@@ -235,10 +236,14 @@ class Packet:
         # currently buffering it; ns-3 tags play this role).  ``vfid`` is the
         # cached virtual-flow ID, valid only when ``vfid_space`` matches the
         # asker's VFID space (see repro.core.vfid.packet_vfid).
+        # ``flow_entry`` is equally transient: the BFC switch buffering the
+        # packet parks its flow-table entry here and clears it at departure,
+        # so it never leaves the switch (nor crosses a shard boundary).
         self.hops = hops
         self.cur_ingress = cur_ingress
         self.vfid = vfid
         self.vfid_space = vfid_space
+        self.flow_entry = None
 
     def payload_bytes(self) -> int:
         """Payload carried by a DATA packet (0 for control packets)."""

@@ -15,8 +15,8 @@ def make_packet(flow_id=1, size=1_000, first=False):
     )
 
 
-def always(_qid):
-    return True
+#: No queue is blocked by a downstream pause.
+NONE_BLOCKED = frozenset()
 
 
 class TestStorage:
@@ -26,7 +26,7 @@ class TestStorage:
         sched.push_queue(3, packet)
         assert sched.queue_bytes(3) == 1_000
         assert sched.backlog_packets() == 1
-        popped, source = sched.pop(always)
+        popped, source = sched.pop(NONE_BLOCKED)
         assert popped is packet
         assert source == 3
         assert sched.backlog_packets() == 0
@@ -34,7 +34,7 @@ class TestStorage:
 
     def test_pop_empty_returns_none(self):
         sched = BfcScheduler(BfcConfig())
-        assert sched.pop(always) is None
+        assert sched.pop(NONE_BLOCKED) is None
 
     def test_head_packet_inspection(self):
         sched = BfcScheduler(BfcConfig())
@@ -65,37 +65,38 @@ class TestPriorities:
         priority = make_packet(flow_id=2, first=True)
         sched.push_queue(0, regular)
         sched.push_high_priority(priority)
-        popped, source = sched.pop(always)
+        popped, source = sched.pop(NONE_BLOCKED)
         assert popped is priority
         assert source == HIGH_PRIORITY_QUEUE
 
     def test_high_priority_ignores_eligibility(self):
         sched = BfcScheduler(BfcConfig())
         sched.push_high_priority(make_packet(first=True))
-        popped, source = sched.pop(lambda qid: False)
+        every_queue = set(range(sched.num_queues)) | {OVERFLOW_QUEUE}
+        popped, source = sched.pop(every_queue)
         assert source == HIGH_PRIORITY_QUEUE
 
     def test_overflow_queue_scheduled_like_normal_queue(self):
         sched = BfcScheduler(BfcConfig())
         sched.push_overflow(make_packet(flow_id=1))
         sched.push_queue(0, make_packet(flow_id=2))
-        sources = {sched.pop(always)[1] for _ in range(2)}
+        sources = {sched.pop(NONE_BLOCKED)[1] for _ in range(2)}
         assert sources == {OVERFLOW_QUEUE, 0}
 
     def test_paused_queue_skipped(self):
         sched = BfcScheduler(BfcConfig())
         sched.push_queue(0, make_packet(flow_id=1))
         sched.push_queue(1, make_packet(flow_id=2))
-        popped, source = sched.pop(lambda qid: qid != 0)
+        popped, source = sched.pop({0})
         assert source == 1
-        assert sched.pop(lambda qid: qid != 0) is None
+        assert sched.pop({0}) is None
 
     def test_round_robin_across_queues(self):
         sched = BfcScheduler(BfcConfig())
         for _ in range(3):
             sched.push_queue(0, make_packet(flow_id=1))
             sched.push_queue(1, make_packet(flow_id=2))
-        order = [sched.pop(always)[1] for _ in range(6)]
+        order = [sched.pop(NONE_BLOCKED)[1] for _ in range(6)]
         assert order.count(0) == 3 and order.count(1) == 3
         assert order[:4] != [0, 0, 0, 1]  # interleaved, not strict
 
@@ -108,6 +109,6 @@ class TestPriorities:
         assert sched.backlog_packets() == 3
         assert sched.queue_bytes(HIGH_PRIORITY_QUEUE) == 100
         assert sched.queue_bytes(OVERFLOW_QUEUE) == 300
-        while sched.pop(always) is not None:
+        while sched.pop(NONE_BLOCKED) is not None:
             pass
         assert sched.backlog_bytes() == 0

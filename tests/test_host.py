@@ -11,7 +11,7 @@ from repro.sim.buffer import PfcPolicy
 from repro.sim.disciplines import FifoDiscipline
 from repro.sim.flow import Flow
 from repro.sim.host import Host, HostConfig, SenderFlowState, WindowedCongestionControl
-from repro.sim.packet import PacketKind
+from repro.sim.packet import FlowKey, Packet, PacketKind
 from repro.sim.port import connect
 from repro.sim.switch import Switch
 
@@ -24,6 +24,7 @@ def build_pair(
     host_config=None,
     cc_factory=None,
     num_hosts=2,
+    nic_class=None,
 ):
     """``num_hosts`` hosts hanging off one switch, shared flow registry."""
     registry = {}
@@ -43,6 +44,7 @@ def build_pair(
             config=host_config or HostConfig(),
             cc_factory=cc_factory,
             flow_registry=registry,
+            nic_class=nic_class,
         )
         connect(host, switch, rate_bps=rate_bps, delay_ns=delay_ns)
         hosts.append(host)
@@ -358,7 +360,9 @@ class TestInlinedDequeueEquivalence:
     pacing-wakeup scan of ``_schedule_wakeup``).  These tests drive two
     identical scenarios — one through the stock inlined path, one through
     the retained reference helpers — and require identical packet sequences,
-    which keeps the helpers honest as the executable specification.
+    which keeps the helpers honest as the executable specification.  Both
+    paths read pause state from ``fstate.paused`` directly: there is no
+    per-NIC pause hook, and the BFC NIC keeps the flag itself.
     """
 
     @staticmethod
@@ -377,14 +381,16 @@ class TestInlinedDequeueEquivalence:
         nic.dequeue = reference_dequeue
         host._uplink_port.discipline = nic  # same object; dequeue now patched
 
-    def _run_scenario(self, use_reference, cc_factory=None, config=None):
+    def _run_scenario(self, use_reference, cc_factory=None, config=None, bfc=None):
+        from repro.core.nic import bfc_nic_class
         from repro.sim.engine import Simulator
         from repro.sim.flow import reset_flow_ids
 
         reset_flow_ids()
         sim = Simulator(seed=42)
         hosts, switch, registry = build_pair(
-            sim, num_hosts=3, cc_factory=cc_factory, host_config=config
+            sim, num_hosts=3, cc_factory=cc_factory, host_config=config,
+            nic_class=None if bfc is None else bfc_nic_class(bfc),
         )
         if use_reference:
             for host in hosts:
@@ -400,9 +406,22 @@ class TestInlinedDequeueEquivalence:
 
             host.handle_packet = spy
         # Competing flows from two senders to one receiver, staggered starts.
-        hosts[0].start_flow(Flow(src=0, dst=2, size=12_000, start_ns=0))
+        first = Flow(src=0, dst=2, size=12_000, start_ns=0)
+        hosts[0].start_flow(first)
         hosts[1].start_flow(Flow(src=1, dst=2, size=8_000, start_ns=0))
-        sim.schedule(2_000, hosts[0].start_flow, Flow(src=0, dst=2, size=5_500, start_ns=0))
+        late = Flow(src=0, dst=2, size=5_500, start_ns=0)
+        sim.schedule(2_000, hosts[0].start_flow, late)
+        if bfc is not None:
+            # Pause frames to host 0: its first flow, then both (the late
+            # flow is added while paused), then an all-clear.
+            codec = hosts[0].nic.codec
+            vfids = [f.key().vfid(bfc.num_vfids) for f in (first, late)]
+            for at_ns, paused in ((1_500, vfids[:1]), (1_800, vfids), (9_000, [])):
+                frame = Packet(
+                    kind=PacketKind.BLOOM, flow_id=0, key=FlowKey(-2, -2, 0, 0),
+                    size=codec.size_bytes + 18, bloom_bits=codec.encode(paused),
+                )
+                sim.schedule(at_ns, hosts[0].receive, frame, 0)
         sim.run(until=units.microseconds(200))
         return seen, sim.events_processed
 
@@ -414,6 +433,17 @@ class TestInlinedDequeueEquivalence:
             inlined = self._run_scenario(False, cc_factory=cc_factory)
             reference = self._run_scenario(True, cc_factory=cc_factory)
             assert inlined == reference
+
+    def test_bfc_pauses_match_reference(self):
+        from repro.core.config import BfcConfig
+
+        inlined = self._run_scenario(False, bfc=BfcConfig())
+        reference = self._run_scenario(True, bfc=BfcConfig())
+        assert inlined == reference
+        # While both host-0 flows (ids 1 and 3) are paused, only host 1's
+        # flow (id 2) reaches the receiver.
+        paused_window = {fid for at, _, fid, _ in inlined[0] if 6_000 <= at < 9_000}
+        assert paused_window == {2}
 
 
 class TestWindowlessDetection:

@@ -1,5 +1,7 @@
 """Unit tests for VFID hashing and the virtual-flow hash table."""
 
+import pytest
+
 from repro.core.config import BfcConfig
 from repro.core.vfid import FlowEntry, FlowTable, packet_vfid
 from repro.sim.packet import FlowKey, Packet, PacketKind
@@ -70,6 +72,36 @@ class TestFlowTable:
         table.remove(entry)
         assert table.lookup(5, 1, 2) is None
         assert table.active_entries() == 0
+
+    def test_removing_absent_entry_raises(self):
+        table = self.make_table()
+        a = table.lookup_or_insert(5, 1, 2)
+        b = table.lookup_or_insert(6, 1, 2)
+        table.remove(a)
+        with pytest.raises(ValueError):
+            table.remove(a)
+        # The failed second remove must not skew the occupancy count.
+        assert table.active_entries() == 1
+        assert table.entries() == [b]
+
+    def test_removing_absent_cache_entry_raises(self):
+        table = self.make_table(table_bucket_size=1)
+        table.lookup_or_insert(5, ingress=0, egress=0)
+        cached = table.lookup_or_insert(5, ingress=1, egress=0)
+        table.remove(cached)
+        with pytest.raises(ValueError):
+            table.remove(cached)
+        assert table.active_entries() == 1
+
+    def test_remove_matches_by_identity_not_value(self):
+        table = self.make_table()
+        stale = table.lookup_or_insert(5, 1, 2)
+        table.remove(stale)
+        live = table.lookup_or_insert(5, 1, 2)
+        assert live == stale and live is not stale  # dataclass value equality
+        with pytest.raises(ValueError):
+            table.remove(stale)
+        assert table.lookup(5, 1, 2) is live
 
     def test_bucket_overflow_goes_to_cache(self):
         table = self.make_table(table_bucket_size=2)
